@@ -1,8 +1,9 @@
-//! Benchmarks for the solver kernels: serial vs Rayon-parallel,
-//! linear vs nonlinear — the real-host counterpart of Fig. 7.
+//! Benchmarks for the solver kernels: serial reference vs the fast
+//! path, linear vs nonlinear — the real-host counterpart of Fig. 7.
 
 use sw_grid::Dims3;
 use sw_model::HalfspaceModel;
+use swq_bench::fusion::{dstrqc_fused, dvelc_fused, FusedWavefield};
 use swq_bench::harness::{BenchmarkId, Criterion, Throughput};
 use swq_bench::{criterion_group, criterion_main};
 use swquake_core::kernels;
@@ -41,16 +42,16 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     let mut s = noisy_state(n, false);
-    group.bench_function(BenchmarkId::new("dvelc", "rayon"), |b| {
-        b.iter(|| kernels::dvelc_par(&mut s))
+    group.bench_function(BenchmarkId::new("dvelc", "fast"), |b| {
+        b.iter(|| kernels::dvelc_simd(&mut s))
     });
     let mut s = noisy_state(n, false);
     group.bench_function(BenchmarkId::new("dstrqc", "serial"), |b| {
         b.iter(|| kernels::dstrqc(&mut s))
     });
     let mut s = noisy_state(n, false);
-    group.bench_function(BenchmarkId::new("dstrqc", "rayon"), |b| {
-        b.iter(|| kernels::dstrqc_par(&mut s))
+    group.bench_function(BenchmarkId::new("dstrqc", "fast"), |b| {
+        b.iter(|| kernels::dstrqc_simd(&mut s))
     });
     let mut s = noisy_state(n, true);
     group.bench_function("drprecpc_calc", |b| b.iter(|| kernels::drprecpc_calc(&mut s)));
@@ -75,15 +76,13 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     let s = noisy_state(n, false);
-    let mut fused = kernels::FusedWavefield::from_state(&s);
-    group.bench_function("dvelc_fused_layout", |b| b.iter(|| kernels::dvelc_fused(&mut fused, &s)));
+    let mut fused = FusedWavefield::from_state(&s);
+    group.bench_function("dvelc_fused_layout", |b| b.iter(|| dvelc_fused(&mut fused, &s)));
     let mut s2 = noisy_state(n, false);
     group.bench_function("dstrqc_scalar_layout", |b| b.iter(|| kernels::dstrqc(&mut s2)));
     let s2 = noisy_state(n, false);
-    let mut fused2 = kernels::FusedWavefield::from_state(&s2);
-    group.bench_function("dstrqc_fused_layout", |b| {
-        b.iter(|| kernels::dstrqc_fused(&mut fused2, &s2))
-    });
+    let mut fused2 = FusedWavefield::from_state(&s2);
+    group.bench_function("dstrqc_fused_layout", |b| b.iter(|| dstrqc_fused(&mut fused2, &s2)));
     group.finish();
 
     // full steps: the linear-vs-nonlinear cost ratio of §3

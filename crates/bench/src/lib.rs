@@ -51,6 +51,7 @@ mod tests {
     }
 }
 
+pub mod fusion;
 pub mod harness;
 
 /// Declare a benchmark entry function from a config + target list

@@ -28,7 +28,6 @@ use crate::flops::{
 };
 use crate::health::HealthMonitor;
 use crate::kernels;
-use crate::kernels::FusedWavefield;
 use crate::resident::{ResidentEngine, ResidentMode, RESIDENT_FIELDS, SIDECAR_FIELD};
 use crate::state::{SolverState, StateOptions};
 use rayon::prelude::*;
@@ -88,27 +87,18 @@ pub struct SimConfig {
     pub compression_stats: Vec<(String, FieldStats)>,
     /// Physical position of grid index (0,0,0), m.
     pub origin: (f64, f64, f64),
-    /// Which kernel implementations run (serial reference, the Rayon
-    /// CPE-pool analogue, or the vectorized tiled path — all
-    /// bit-identical). Defaults to the `SWQUAKE_EXEC` environment
-    /// override when set, [`ExecMode::Auto`] otherwise.
+    /// Which kernel implementations run (the serial reference or the
+    /// vectorized, cache-tiled fast path — bit-identical). Defaults to
+    /// the `SWQUAKE_EXEC` environment override when set,
+    /// [`ExecMode::Auto`] otherwise.
     pub exec: ExecMode,
-    /// Run production steps on the §6.4 fused array layout
-    /// ([`FusedWavefield`]): kernels update the AoS vectors in place and
-    /// the scalar wavefields are refreshed only at output boundaries
-    /// (recorders each step; checkpoints, snapshots and health probes
-    /// when due). Bit-identical to the serial path. Incompatible with
-    /// attenuation, plasticity, inter-step compression and multirank
-    /// runs — [`SimConfig::validate`] rejects those combinations.
-    pub fused: bool,
     /// How the dynamic wavefields (and attenuation memory variables) live
     /// between steps: [`ResidentMode::Full`] keeps plain f32 arrays;
     /// [`ResidentMode::Compressed16`] keeps them as 16-bit planes and
     /// streams x-tiles through a small f32 slab each step (see
     /// [`crate::resident`]). Defaults to the `SWQUAKE_RESIDENT`
-    /// environment override when set. Incompatible with the fused
-    /// layout, §6.5 inter-step compression, surface snapshots and
-    /// multirank runs — [`SimConfig::validate`] / [`run_multirank`]
+    /// environment override when set. Incompatible with §6.5 inter-step
+    /// compression, surface snapshots and multirank runs — [`SimConfig::validate`] / [`run_multirank`]
     /// reject those combinations.
     pub resident: ResidentMode,
     /// Byte budget for the compressed-resident decode slab; the engine
@@ -184,7 +174,6 @@ impl SimConfig {
             compression_stats: Vec::new(),
             origin: (0.0, 0.0, 0.0),
             exec: ExecMode::from_env(),
-            fused: false,
             resident: ResidentMode::from_env(),
             memory_cap_bytes: None,
             threads: exec::threads_from_env(),
@@ -207,14 +196,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_exec(mut self, exec: ExecMode) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Run production steps on the fused array layout (§6.4); see
-    /// [`SimConfig::fused`] for the compatibility contract.
-    #[must_use]
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -403,21 +384,7 @@ impl SimConfig {
         if !scale.is_finite() || scale <= 0.0 {
             return Err(ConfigError::InvalidDtScale { dt_scale: scale });
         }
-        if self.fused {
-            if self.options.attenuation {
-                return Err(ConfigError::FusedUnsupported { feature: "attenuation" });
-            }
-            if self.options.nonlinear {
-                return Err(ConfigError::FusedUnsupported { feature: "plasticity" });
-            }
-            if self.compression {
-                return Err(ConfigError::FusedUnsupported { feature: "inter-step compression" });
-            }
-        }
         if self.resident == ResidentMode::Compressed16 {
-            if self.fused {
-                return Err(ConfigError::ResidentUnsupported { feature: "the fused layout" });
-            }
             if self.compression {
                 return Err(ConfigError::ResidentUnsupported { feature: "inter-step compression" });
             }
@@ -775,14 +742,9 @@ pub struct Simulation {
     snapshot_times: Vec<f64>,
     next_snapshot: usize,
     compression: Option<Vec<CompressionSlot>>,
-    /// The resolved kernel path every step phase routes through
-    /// (serial reference, Rayon CPE-pool analogue, or the vectorized
-    /// tiled kernels — all bit-identical).
+    /// The resolved kernel path every step phase routes through (the
+    /// serial reference or the bit-identical fast path).
     path: ExecPath,
-    /// The fused AoS wavefield production steps run on when
-    /// [`SimConfig::fused`] is set; the scalar state is refreshed from
-    /// it at output boundaries only.
-    fused: Option<FusedWavefield>,
     /// The compressed-resident engine when [`SimConfig::resident`] is
     /// `Compressed16`; the state's dynamic arrays are detached and every
     /// step phase streams tiles through the engine's f32 slab instead.
@@ -817,15 +779,9 @@ fn wavefield_mut(state: &mut SolverState, idx: usize) -> &mut Field3 {
 /// Feed the per-field resident-bytes gauges of one rank's working set
 /// into the run timeline: the nine wavefields individually (they are what
 /// the compressed-resident-grid arc will shrink), plus the attenuation
-/// memory variables, the material arrays, and any fused AoS mirror as
-/// aggregates. Called once at construction — allocations are fixed for
+/// memory variables and the material arrays as aggregates. Called once at construction — allocations are fixed for
 /// the life of a simulation, so this is also the high-water mark.
-fn record_resident_memory(
-    tl: &TimelineRecorder,
-    rank: usize,
-    state: &SolverState,
-    fused: Option<&FusedWavefield>,
-) {
+fn record_resident_memory(tl: &TimelineRecorder, rank: usize, state: &SolverState) {
     for name in COMPRESSED_FIELDS {
         let f = match name {
             "u" => &state.u,
@@ -862,10 +818,6 @@ fn record_resident_memory(
     .map(|f| f.resident_bytes())
     .sum();
     tl.record_memory(rank, "state.material", material as u64);
-    if let Some(fw) = fused {
-        tl.record_memory(rank, "fused.velocity", fw.vel.resident_bytes() as u64);
-        tl.record_memory(rank, "fused.stress", fw.stress.resident_bytes() as u64);
-    }
 }
 
 /// Build a health probe from the compressed-resident engine's per-step
@@ -1026,12 +978,7 @@ impl Simulation {
         let path = config.exec.resolve_path(d.len());
         let telemetry = config.telemetry.clone();
         if telemetry.is_enabled() {
-            let mode = match path {
-                ExecPath::Serial => 0.0,
-                ExecPath::Parallel => 1.0,
-                ExecPath::Simd => 2.0,
-            };
-            telemetry.gauge("exec.mode", mode);
+            telemetry.gauge("exec.mode", if path.is_parallel() { 1.0 } else { 0.0 });
             telemetry.gauge("exec.threads", rayon::current_num_threads() as f64);
         }
         let arch = telemetry.is_enabled().then(|| {
@@ -1051,7 +998,6 @@ impl Simulation {
                 config.compression,
             )
         });
-        let fused = config.fused.then(|| FusedWavefield::from_state(&state));
         let resident = (config.resident == ResidentMode::Compressed16).then(|| {
             let engine = ResidentEngine::new(&state, config.memory_cap_bytes);
             // The engine now holds the dynamic values 16-bit; detach the
@@ -1066,7 +1012,7 @@ impl Simulation {
         });
         let timeline = config.timeline.clone();
         if let Some(tl) = &timeline {
-            record_resident_memory(tl, config.rank, &state, fused.as_ref());
+            record_resident_memory(tl, config.rank, &state);
             if let Some(engine) = &resident {
                 for (i, name) in COMPRESSED_FIELDS.iter().enumerate() {
                     tl.record_memory(config.rank, &format!("state.{name}"), engine.stored_bytes(i));
@@ -1099,7 +1045,6 @@ impl Simulation {
             next_snapshot: 0,
             compression,
             path,
-            fused,
             resident,
             telemetry,
             arch,
@@ -1113,21 +1058,10 @@ impl Simulation {
         }
     }
 
-    /// Whether this simulation fans work out over the Rayon pool (true
-    /// for both the CPE-pool and the vectorized tiled paths).
-    pub fn is_parallel(&self) -> bool {
-        self.path.is_parallel()
-    }
-
     /// The concrete kernel path the resolved [`ExecMode`] routes step
     /// phases through.
     pub fn exec_path(&self) -> ExecPath {
         self.path
-    }
-
-    /// Whether production steps run on the fused array layout (§6.4).
-    pub fn is_fused(&self) -> bool {
-        self.fused.is_some()
     }
 
     /// How this simulation stores its wavefields between steps.
@@ -1215,7 +1149,7 @@ impl Simulation {
             step_p50_s: p50,
             step_p95_s: p95,
             exec_mode: Some(self.path.to_string()),
-            features: Some(if exec::simd_compiled() { "simd" } else { "" }.to_string()),
+            features: None,
             resident_mode: Some(self.resident_mode().to_string()),
             kernels,
         })
@@ -1293,51 +1227,25 @@ impl Simulation {
             self.resident = Some(engine);
             return;
         }
-        if let Some(mut w) = self.fused.take() {
-            let s = &self.state;
-            {
-                let _p = tel.phase("free_surface");
-                let _k = pscope(&self.perf, "fstr");
-                kernels::fstr_fused(&mut w, s);
-            }
-            {
-                let _p = tel.phase("velocity");
-                let _k = pscope(&self.perf, "dvelc");
-                kernels::dvelc_fused(&mut w, s);
-            }
-            self.fused = Some(w);
-            return;
-        }
         let s = &mut self.state;
+        let fast = self.path == ExecPath::Fast;
         {
             let _p = tel.phase("free_surface");
             let _k = pscope(&self.perf, "fstr");
-            match self.path {
-                ExecPath::Serial => kernels::fstr(s),
-                ExecPath::Parallel => kernels::fstr_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::fstr_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::fstr_par(s);
-                }
+            if fast {
+                kernels::fstr_simd(s);
+            } else {
+                kernels::fstr(s);
             }
         }
         {
             let _p = tel.phase("velocity");
             let _k = pscope(&self.perf, "dvelc");
-            match self.path {
-                ExecPath::Serial => {
-                    kernels::dvelcx(s);
-                    kernels::dvelcy(s);
-                }
-                ExecPath::Parallel => kernels::dvelc_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::dvelc_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::dvelc_par(s);
-                }
+            if fast {
+                kernels::dvelc_simd(s);
+            } else {
+                kernels::dvelcx(s);
+                kernels::dvelcy(s);
             }
         }
     }
@@ -1366,60 +1274,24 @@ impl Simulation {
             self.resident = Some(engine);
             return;
         }
-        if let Some(mut w) = self.fused.take() {
-            // The fused path covers the elastic step only (validated at
-            // construction): no attenuation memory, no plasticity, no
-            // compression round trip.
-            let s = &self.state;
-            {
-                let _p = tel.phase("free_surface");
-                let _k = pscope(&self.perf, "fstr");
-                kernels::fstr_fused(&mut w, s);
-            }
-            {
-                let _p = tel.phase("stress");
-                let _k = pscope(&self.perf, "dstrqc");
-                kernels::dstrqc_fused(&mut w, s);
-            }
-            {
-                let _p = tel.phase("source");
-                kernels::addsrc_fused(&mut w, s, &self.sources, self.time);
-            }
-            {
-                let _p = tel.phase("sponge");
-                let _k = pscope(&self.perf, "sponge");
-                kernels::apply_sponge_fused(&mut w, s);
-            }
-            self.fused = Some(w);
-            return;
-        }
         let s = &mut self.state;
+        let fast = self.path == ExecPath::Fast;
         {
             let _p = tel.phase("free_surface");
             let _k = pscope(&self.perf, "fstr");
-            match self.path {
-                ExecPath::Serial => kernels::fstr(s),
-                ExecPath::Parallel => kernels::fstr_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::fstr_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::fstr_par(s);
-                }
+            if fast {
+                kernels::fstr_simd(s);
+            } else {
+                kernels::fstr(s);
             }
         }
         {
             let _p = tel.phase("stress");
             let _k = pscope(&self.perf, "dstrqc");
-            match self.path {
-                ExecPath::Serial => kernels::dstrqc(s),
-                ExecPath::Parallel => kernels::dstrqc_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::dstrqc_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::dstrqc_par(s);
-                }
+            if fast {
+                kernels::dstrqc_simd(s);
+            } else {
+                kernels::dstrqc(s);
             }
         }
         {
@@ -1429,41 +1301,21 @@ impl Simulation {
         if s.options.nonlinear {
             let _p = tel.phase("plasticity");
             let _k = pscope(&self.perf, "drprecpc");
-            match self.path {
-                ExecPath::Serial => {
-                    kernels::drprecpc_calc(s);
-                    kernels::drprecpc_app(s);
-                }
-                ExecPath::Parallel => {
-                    kernels::drprecpc_calc_par(s);
-                    kernels::drprecpc_app_par(s);
-                }
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    {
-                        kernels::simd::drprecpc_calc_simd(s);
-                        kernels::simd::drprecpc_app_simd(s);
-                    }
-                    #[cfg(not(feature = "simd"))]
-                    {
-                        kernels::drprecpc_calc_par(s);
-                        kernels::drprecpc_app_par(s);
-                    }
-                }
+            if fast {
+                kernels::drprecpc_calc_simd(s);
+                kernels::drprecpc_app_simd(s);
+            } else {
+                kernels::drprecpc_calc(s);
+                kernels::drprecpc_app(s);
             }
         }
         {
             let _p = tel.phase("sponge");
             let _k = pscope(&self.perf, "sponge");
-            match self.path {
-                ExecPath::Serial => kernels::apply_sponge(s),
-                ExecPath::Parallel => kernels::apply_sponge_par(s),
-                ExecPath::Simd => {
-                    #[cfg(feature = "simd")]
-                    kernels::simd::apply_sponge_simd(s);
-                    #[cfg(not(feature = "simd"))]
-                    kernels::apply_sponge_par(s);
-                }
+            if fast {
+                kernels::apply_sponge_simd(s);
+            } else {
+                kernels::apply_sponge(s);
             }
         }
         self.compression_roundtrip();
@@ -1609,14 +1461,6 @@ impl Simulation {
             self.finish_step_resident(&tel);
             return;
         }
-        if self.fused.is_some() {
-            // Output boundary: the recorders below read scalar
-            // velocities every step; checkpoints and health probes also
-            // read the stresses, so refresh those only when something
-            // this step will consume them.
-            let stress = self.health.is_some() || self.restart.due(self.step_count + 1);
-            self.sync_fused(stress);
-        }
         {
             let _p = tel.phase("record");
             let s = &self.state;
@@ -1760,21 +1604,6 @@ impl Simulation {
                 monitor.check_probe(probe, cfl, tel);
             }
         }
-    }
-
-    /// Refresh the scalar wavefields from the fused layout (no-op when
-    /// the simulation does not run fused). Velocities are always
-    /// written back; stresses only when `stress` is set. External
-    /// callers reading [`Simulation::state`] mid-run — or calling
-    /// [`Simulation::make_checkpoint`] / [`Simulation::collect_stats`]
-    /// outside the step loop — should call `sync_fused(true)` first.
-    pub fn sync_fused(&mut self, stress: bool) {
-        let Some(w) = self.fused.take() else { return };
-        w.gather_velocities(&mut self.state);
-        if stress {
-            w.gather_stress(&mut self.state);
-        }
-        self.fused = Some(w);
     }
 
     /// Write a due checkpoint into the durable store (when one is
@@ -2031,12 +1860,6 @@ impl Simulation {
         // Skip snapshots whose trigger time the restored clock has
         // already passed — a resumed run must not re-emit them.
         self.next_snapshot = self.snapshot_times.iter().filter(|t| **t <= self.time).count();
-        // The fused layout mirrors the scalar wavefields the checkpoint
-        // just overwrote — rebuild it so the next step reads the
-        // restored values.
-        if self.fused.is_some() {
-            self.fused = Some(FusedWavefield::from_state(&self.state));
-        }
         Ok(())
     }
 
@@ -2184,11 +2007,6 @@ pub fn run_multirank(
     grid: RankGrid,
 ) -> Result<MultiRankOutput, RunError> {
     config.validate()?;
-    // Halo exchange reads and writes the scalar wavefields; a fused
-    // rank would exchange stale planes.
-    if config.fused && grid.len() > 1 {
-        return Err(ConfigError::FusedUnsupported { feature: "multirank halo exchange" }.into());
-    }
     // Halo exchange (and the 1-rank degenerate case of this runner)
     // assumes f32 wavefield arrays, which the compressed-resident mode
     // detaches.
@@ -2755,7 +2573,7 @@ mod tests {
         serial.run(cfg.steps);
         let mut par = Simulation::new(&model, &cfg.clone().with_exec(ExecMode::Parallel))
             .expect("valid config");
-        assert!(par.is_parallel());
+        assert_eq!(par.exec_path(), ExecPath::Fast);
         par.run(cfg.steps);
         assert_eq!(serial.state.u.max_abs_diff(&par.state.u), 0.0);
         assert_eq!(serial.state.xx.max_abs_diff(&par.state.xx), 0.0);

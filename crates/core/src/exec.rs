@@ -1,19 +1,29 @@
 //! Execution modes: which implementation of the step kernels runs.
 //!
 //! The paper's production runs never compute on the management core —
-//! every kernel of the step executes on the 64-CPE pool (§6.2, Fig. 4).
-//! [`ExecMode`] is the host-side version of that switch: `Serial` runs
-//! the reference kernels on the calling thread, `Parallel` routes every
-//! phase (free surface, velocity, stress, plasticity, sponge, the §6.5
-//! compression round trip, and checkpoint clones) through the Rayon
-//! CPE-pool analogue in [`crate::kernels::parallel`], and `Auto` — the
-//! default — picks `Parallel` when the grid is big enough to amortize the
-//! fan-out and more than one worker thread is available.
+//! every kernel of the step executes on the 64-CPE pool, vectorized over
+//! the SIMD lanes (§6.2, §6.4). The host keeps exactly two kernel sets:
+//!
+//! * the **serial reference** ([`ExecPath::Serial`]) — the plain
+//!   kernels in [`crate::kernels`], run on the calling thread; they are
+//!   the specification every other path is checked against;
+//! * the **fast path** ([`ExecPath::Fast`]) — the vectorized,
+//!   cache-tiled kernels of [`crate::kernels::simd`], fanned out over
+//!   the Rayon CPE-pool analogue in x planes, together with the
+//!   pool-based compression round trip, checkpoint clones and health
+//!   scans.
+//!
+//! [`ExecMode`] picks between them: `serial` forces the reference,
+//! `parallel` and `simd` are accepted spellings of the fast path (so
+//! older `--exec` / `SWQUAKE_EXEC` scripts keep working), and `auto` —
+//! the default — takes the fast path on any grid of at least
+//! [`AUTO_PARALLEL_THRESHOLD`] points, whatever the pool width, because
+//! the vector lanes pay even on one thread.
 //!
 //! Both paths are **bit-identical** (pinned by the `exec_equivalence`
-//! integration tests): the parallel kernels split the mesh into disjoint
-//! x planes and keep the in-plane floating-point evaluation order
-//! unchanged, so mode is purely a performance choice.
+//! integration tests): the fast kernels evaluate the same expression
+//! tree per cell in the same order and never contract into fused
+//! multiply-adds, so mode is purely a performance choice.
 //!
 //! ## Composing with the rank runtime
 //!
@@ -31,9 +41,9 @@
 use std::fmt;
 use std::str::FromStr;
 
-/// Grid size (interior points) above which `Auto` goes parallel. Below
-/// it, plane fan-out overhead rivals the kernel work itself: a 32³ block
-/// is roughly where one x plane reaches a few thousand points.
+/// Grid size (interior points) from which `Auto` takes the fast path.
+/// Below it, plane fan-out overhead rivals the kernel work itself: a 32³
+/// block is roughly where one x plane reaches a few thousand points.
 pub const AUTO_PARALLEL_THRESHOLD: usize = 32 * 32 * 32;
 
 /// Which kernel implementations the driver runs.
@@ -41,15 +51,12 @@ pub const AUTO_PARALLEL_THRESHOLD: usize = 32 * 32 * 32;
 pub enum ExecMode {
     /// Reference serial kernels on the calling thread.
     Serial,
-    /// Rayon CPE-pool kernels for every step phase.
+    /// The fast path (accepted spelling kept for existing scripts).
     Parallel,
-    /// SIMD-vectorized, cache-tiled kernels on the Rayon pool. Requires
-    /// the `simd` cargo feature; without it the driver falls back to
-    /// `Parallel` (documented, and reported via the perf ledger's exec
-    /// stamp so the fallback is never silent in measurements).
+    /// The fast path (accepted spelling kept for existing scripts).
     Simd,
-    /// `Parallel` when the grid exceeds [`AUTO_PARALLEL_THRESHOLD`]
-    /// points and the pool has more than one thread; `Serial` otherwise.
+    /// The fast path when the grid has at least
+    /// [`AUTO_PARALLEL_THRESHOLD`] points, `Serial` otherwise.
     #[default]
     Auto,
 }
@@ -60,19 +67,15 @@ pub enum ExecMode {
 pub enum ExecPath {
     /// Reference serial kernels.
     Serial,
-    /// Rayon x-plane fan-out, scalar inner loops.
-    Parallel,
-    /// Rayon x-plane fan-out with SIMD lanes and z–y cache tiling.
-    Simd,
+    /// Vectorized, cache-tiled kernels fanned out over the Rayon pool.
+    Fast,
 }
 
 impl ExecPath {
-    /// Whether this path fans work out over the Rayon pool (the SIMD
-    /// path composes with the same x-plane decomposition, so every
-    /// pool-based fan-out — compression, checkpoint clones, health
-    /// scans — stays parallel under it).
+    /// Whether this path fans work out over the Rayon pool (compression,
+    /// checkpoint clones and health scans follow the kernels).
     pub fn is_parallel(self) -> bool {
-        !matches!(self, ExecPath::Serial)
+        self == ExecPath::Fast
     }
 }
 
@@ -80,15 +83,9 @@ impl fmt::Display for ExecPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ExecPath::Serial => "serial",
-            ExecPath::Parallel => "parallel",
-            ExecPath::Simd => "simd",
+            ExecPath::Fast => "fast",
         })
     }
-}
-
-/// Whether this build carries the vectorized kernels (`--features simd`).
-pub const fn simd_compiled() -> bool {
-    cfg!(feature = "simd")
 }
 
 impl ExecMode {
@@ -99,33 +96,13 @@ impl ExecMode {
         std::env::var("SWQUAKE_EXEC").ok().and_then(|v| v.parse().ok()).unwrap_or_default()
     }
 
-    /// Resolve the mode for a mesh: `true` means run a pool-based path.
-    pub fn resolve(self, points: usize) -> bool {
-        self.resolve_path(points).is_parallel()
-    }
-
     /// Resolve the mode for a mesh into the concrete kernel path.
-    /// `Simd` degrades to `Parallel` when the `simd` feature is not
-    /// compiled in (both are bit-identical to serial, so only throughput
-    /// changes).
     pub fn resolve_path(self, points: usize) -> ExecPath {
         match self {
             ExecMode::Serial => ExecPath::Serial,
-            ExecMode::Parallel => ExecPath::Parallel,
-            ExecMode::Simd => {
-                if simd_compiled() {
-                    ExecPath::Simd
-                } else {
-                    ExecPath::Parallel
-                }
-            }
-            ExecMode::Auto => {
-                if points >= AUTO_PARALLEL_THRESHOLD && rayon::current_num_threads() > 1 {
-                    ExecPath::Parallel
-                } else {
-                    ExecPath::Serial
-                }
-            }
+            ExecMode::Parallel | ExecMode::Simd => ExecPath::Fast,
+            ExecMode::Auto if points >= AUTO_PARALLEL_THRESHOLD => ExecPath::Fast,
+            ExecMode::Auto => ExecPath::Serial,
         }
     }
 }
@@ -139,9 +116,10 @@ impl FromStr for ExecMode {
             "parallel" => Ok(ExecMode::Parallel),
             "simd" => Ok(ExecMode::Simd),
             "auto" => Ok(ExecMode::Auto),
-            other => {
-                Err(format!("unknown exec mode `{other}` (expected serial|parallel|simd|auto)"))
-            }
+            other => Err(format!(
+                "unknown exec mode `{other}` (expected serial|auto; parallel and simd are \
+                 aliases of the fast path)"
+            )),
         }
     }
 }
@@ -185,43 +163,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parsing_round_trips() {
-        for mode in [ExecMode::Serial, ExecMode::Parallel, ExecMode::Simd, ExecMode::Auto] {
-            assert_eq!(mode.to_string().parse::<ExecMode>().unwrap(), mode);
+    fn every_spelling_parses_and_round_trips() {
+        for (text, mode) in [
+            ("serial", ExecMode::Serial),
+            ("parallel", ExecMode::Parallel),
+            ("simd", ExecMode::Simd),
+            ("auto", ExecMode::Auto),
+        ] {
+            assert_eq!(text.parse::<ExecMode>().unwrap(), mode);
+            assert_eq!(text.to_ascii_uppercase().parse::<ExecMode>().unwrap(), mode);
+            assert_eq!(mode.to_string(), text);
         }
-        assert_eq!("PARALLEL".parse::<ExecMode>().unwrap(), ExecMode::Parallel);
-        assert_eq!("SIMD".parse::<ExecMode>().unwrap(), ExecMode::Simd);
         assert!("cpes".parse::<ExecMode>().is_err());
     }
 
     #[test]
     fn fixed_modes_ignore_grid_size() {
-        assert!(!ExecMode::Serial.resolve(usize::MAX));
-        assert!(ExecMode::Parallel.resolve(1));
-        assert!(ExecMode::Simd.resolve(1), "simd is pool-based with or without the feature");
-    }
-
-    #[test]
-    fn simd_path_honours_the_compiled_feature() {
-        let path = ExecMode::Simd.resolve_path(1);
-        if simd_compiled() {
-            assert_eq!(path, ExecPath::Simd);
-        } else {
-            assert_eq!(path, ExecPath::Parallel, "feature off: degrade to parallel");
+        for points in [1, AUTO_PARALLEL_THRESHOLD, usize::MAX] {
+            assert_eq!(ExecMode::Serial.resolve_path(points), ExecPath::Serial);
+            assert_eq!(ExecMode::Parallel.resolve_path(points), ExecPath::Fast);
+            assert_eq!(ExecMode::Simd.resolve_path(points), ExecPath::Fast);
         }
-        assert!(path.is_parallel());
-        assert_eq!(ExecMode::Serial.resolve_path(usize::MAX), ExecPath::Serial);
-        assert_eq!(ExecPath::Simd.to_string(), "simd");
     }
 
     #[test]
-    fn auto_stays_serial_below_threshold() {
-        assert!(!ExecMode::Auto.resolve(AUTO_PARALLEL_THRESHOLD - 1));
+    fn auto_takes_the_fast_path_from_the_threshold_on() {
+        assert_eq!(ExecMode::Auto.resolve_path(AUTO_PARALLEL_THRESHOLD - 1), ExecPath::Serial);
+        assert_eq!(ExecMode::Auto.resolve_path(AUTO_PARALLEL_THRESHOLD), ExecPath::Fast);
+        assert_eq!(ExecMode::Auto.resolve_path(64 * 64 * 64), ExecPath::Fast);
+        assert_eq!(ExecMode::default(), ExecMode::Auto);
     }
 
     #[test]
-    fn auto_above_threshold_follows_pool_width() {
-        let expect = rayon::current_num_threads() > 1;
-        assert_eq!(ExecMode::Auto.resolve(AUTO_PARALLEL_THRESHOLD), expect);
+    fn auto_ignores_the_pool_width() {
+        // Vectorization pays on one thread, so a one-worker pool still
+        // resolves to the fast path.
+        configure_threads(1);
+        assert_eq!(ExecMode::Auto.resolve_path(AUTO_PARALLEL_THRESHOLD), ExecPath::Fast);
+    }
+
+    #[test]
+    fn paths_display_and_report_pool_use() {
+        assert_eq!(ExecPath::Serial.to_string(), "serial");
+        assert_eq!(ExecPath::Fast.to_string(), "fast");
+        assert!(ExecPath::Fast.is_parallel());
+        assert!(!ExecPath::Serial.is_parallel());
     }
 }

@@ -1,14 +1,14 @@
-//! SIMD-vectorized, cache-tiled kernel variants (`--features simd`).
+//! The fast path: SIMD-vectorized, cache-tiled kernel variants.
 //!
-//! The third rung of the execution ladder: the same x-plane Rayon
-//! decomposition as [`crate::kernels::parallel`] (the CPE-pool
-//! analogue), but with the innermost contiguous z axis processed in
-//! [`F32x8`] lanes and the z–y loop nest cache-blocked. This is the
-//! host-side version of the paper's register-level vectorization inside
-//! each CPE's LDM window (§6.3): z is the fastest memory axis, so a z
-//! row is the unit-stride run every stencil streams over, and a z–y
-//! tile is the working set that stays cache-resident while its x-plane
-//! taps are reused.
+//! Every kernel hands disjoint x planes to the Rayon pool (the host
+//! analogue of the paper's CPE pool: each plane's writes stay inside
+//! that plane, so the split is race-free), processes the innermost
+//! contiguous z axis in [`F32x8`] lanes and cache-blocks the z–y loop
+//! nest. This is the host-side version of the paper's register-level
+//! vectorization inside each CPE's LDM window (§6.3): z is the fastest
+//! memory axis, so a z row is the unit-stride run every stencil streams
+//! over, and a z–y tile is the working set that stays cache-resident
+//! while its x-plane taps are reused.
 //!
 //! ## Bit-compat contract
 //!
@@ -26,15 +26,15 @@
 //! * [`dvelc_simd`] — velocity update, vector lanes + z–y tiles;
 //! * [`dstrqc_simd`] — stress + attenuation memory update, vector
 //!   lanes + z–y tiles;
-//! * [`fstr_simd`] — free surface; touches two z planes per column so
-//!   there is no contiguous run to vectorize (the paper's Fig. 7 makes
-//!   the same observation for the CPEs: 4–5× instead of ~30×), so it
-//!   delegates to the plane-parallel scalar kernel;
 //! * [`drprecpc_calc_simd`] / [`drprecpc_app_simd`] — plasticity as
 //!   slice-based row loops (branch + `sqrt` per point resist lane
 //!   structs without per-lane selects; contiguous-row indexing removes
 //!   the per-point offset arithmetic and lets the compiler if-convert);
-//! * [`apply_sponge_simd`] — damping multiply in vector lanes.
+//! * [`apply_sponge_simd`] — damping multiply in vector lanes;
+//! * [`fstr_simd`] — free surface; it touches a few z cells per column,
+//!   so there is no contiguous run to vectorize (the paper's Fig. 7 makes
+//!   the same observation for the CPEs: 4–5× instead of ~30×). It is the
+//!   scalar stress imaging with the x planes handed to the pool.
 
 use crate::staggered::{dxm, dxp, dym, dyp, dzm, dzp, C1, C2};
 use crate::state::SolverState;
@@ -43,8 +43,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use sw_grid::simd::{F32x8, LANES};
 use sw_grid::tile::blocks;
 use sw_grid::{Field3, HALO_WIDTH};
-
-pub use super::parallel::fstr_par as fstr_simd;
 
 /// z extent of a cache tile. A tile's hot set is ~30 rows (taps across
 /// nine fields) × `TILE_Z` × 4 B ≈ 60 KB at 512 — sized to sit in L2
@@ -349,6 +347,41 @@ pub fn dstrqc_simd_tiled(s: &mut SolverState, tile_y: usize, tile_z: usize) {
     );
 }
 
+/// Free surface (`fstr`) with x planes fanned out over the pool: stress
+/// imaging per (x, y) column. Every column's reads and writes stay inside
+/// its own x plane (surface planes z ∈ {0, 1, 2} and the halo planes
+/// z ∈ {−1, −2}), so handing whole planes to the pool is race-free and
+/// bit-identical to [`crate::kernels::fstr`].
+pub fn fstr_simd(s: &mut SolverState) {
+    let d = s.dims;
+    let p = s.zz.padded_dims();
+    let stride = p.ny * p.nz;
+    let h = HALO_WIDTH;
+    let zz_planes = s.zz.raw_mut().par_chunks_mut(stride);
+    let xz_planes = s.xz.raw_mut().par_chunks_mut(stride);
+    let yz_planes = s.yz.raw_mut().par_chunks_mut(stride);
+    let w_planes = s.w.raw_mut().par_chunks_mut(stride);
+    zz_planes.zip(xz_planes).zip(yz_planes).zip(w_planes).skip(h).take(d.nx).for_each(
+        |(((pzz, pxz), pyz), pw)| {
+            for y in 0..d.ny {
+                let at = |z_pad: usize| (y + h) * p.nz + z_pad;
+                // zz: zero on the surface plane, antisymmetric above.
+                pzz[at(h)] = 0.0;
+                pzz[at(h - 1)] = -pzz[at(h + 1)];
+                pzz[at(h - 2)] = -pzz[at(h + 2)];
+                // xz, yz: antisymmetric about the surface (half-staggered).
+                pxz[at(h - 1)] = -pxz[at(h)];
+                pxz[at(h - 2)] = -pxz[at(h + 1)];
+                pyz[at(h - 1)] = -pyz[at(h)];
+                pyz[at(h - 2)] = -pyz[at(h + 1)];
+                // w: symmetric continuation.
+                pw[at(h - 1)] = pw[at(h)];
+                pw[at(h - 2)] = pw[at(h + 1)];
+            }
+        },
+    );
+}
+
 /// SIMD `drprecpc_calc`: slice-based contiguous-row loops (the branch
 /// and per-point `sqrt` keep this one scalar in the lane sense; the row
 /// indexing is what the auto-vectorizer needs to if-convert the hot
@@ -647,10 +680,20 @@ mod tests {
         fstr(&mut serial);
         let mut simd = noisy_full_state();
         fstr_simd(&mut simd);
-        for (a, b) in [(&serial.zz, &simd.zz), (&serial.xz, &simd.xz), (&serial.w, &simd.w)] {
+        for (a, b) in [
+            (&serial.zz, &simd.zz),
+            (&serial.xz, &simd.xz),
+            (&serial.yz, &simd.yz),
+            (&serial.w, &simd.w),
+        ] {
             assert_eq!(a.max_abs_diff(b), 0.0);
+            // The mirrored halo planes too (max_abs_diff covers the interior).
+            for (x, y) in [(0isize, 0isize), (4, 4), (11, 13)] {
+                for z in [-1isize, -2] {
+                    assert_eq!(a.at_i(x, y, z), b.at_i(x, y, z));
+                }
+            }
         }
-        assert_eq!(serial.zz.at_i(4, 4, -2), simd.zz.at_i(4, 4, -2));
     }
 
     #[test]
@@ -694,5 +737,37 @@ mod tests {
         }
         assert_eq!(serial.u.max_abs_diff(&simd.u), 0.0);
         assert_eq!(serial.xx.max_abs_diff(&simd.xx), 0.0);
+    }
+
+    /// The whole fast step sequence stays bit-identical to the reference
+    /// over repeated steps with plasticity, attenuation and the sponge on.
+    #[test]
+    fn full_phase_sequence_stays_identical() {
+        let mut serial = noisy_full_state();
+        let mut simd = noisy_full_state();
+        for _ in 0..3 {
+            fstr(&mut serial);
+            dvelcx(&mut serial);
+            dvelcy(&mut serial);
+            fstr(&mut serial);
+            dstrqc(&mut serial);
+            drprecpc_calc(&mut serial);
+            drprecpc_app(&mut serial);
+            apply_sponge(&mut serial);
+
+            fstr_simd(&mut simd);
+            dvelc_simd(&mut simd);
+            fstr_simd(&mut simd);
+            dstrqc_simd(&mut simd);
+            drprecpc_calc_simd(&mut simd);
+            drprecpc_app_simd(&mut simd);
+            apply_sponge_simd(&mut simd);
+        }
+        assert_eq!(serial.u.max_abs_diff(&simd.u), 0.0);
+        assert_eq!(serial.xx.max_abs_diff(&simd.xx), 0.0);
+        assert_eq!(serial.eqp.max_abs_diff(&simd.eqp), 0.0);
+        for (a, b) in serial.r.iter().zip(simd.r.iter()) {
+            assert_eq!(a.max_abs_diff(b), 0.0);
+        }
     }
 }

@@ -22,9 +22,9 @@
 //!   control and on-the-fly compression;
 //! * [`health`] — the in-situ simulation-health monitor: per-step field
 //!   probes, the stability watchdog, and the compression error budget;
-//! * [`exec`] — execution modes: serial reference kernels vs the Rayon
-//!   CPE-pool analogue (bit-identical; §6.2's "never compute on the
-//!   MPE" as a host-side switch);
+//! * [`exec`] — execution modes: the serial reference kernels vs the
+//!   vectorized fast path on the Rayon CPE-pool analogue (bit-identical;
+//!   §6.2's "never compute on the MPE" as a host-side switch);
 //! * [`resident`] — compressed-resident wavefields: the dynamic arrays
 //!   live as 16-bit planes and each phase streams column tiles through a
 //!   small f32 slab, so scenarios bigger than RAM still run;
@@ -55,7 +55,7 @@ pub mod sunway;
 
 pub use driver::{MultiRankOutput, ResumeInfo, SimConfig, Simulation};
 pub use error::{ConfigError, KilledError, RestoreError, RunError, UnstableError};
-pub use exec::{simd_compiled, ExecMode, ExecPath};
+pub use exec::{ExecMode, ExecPath};
 pub use framework::UnifiedFramework;
 pub use resident::ResidentMode;
 pub use state::SolverState;

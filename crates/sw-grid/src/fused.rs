@@ -47,13 +47,6 @@ macro_rules! fused_field {
                 self.halo
             }
 
-            /// Bytes resident in the padded allocation (halo included,
-            /// all fused components) — the working-set gauge the run
-            /// timeline reports per field.
-            pub fn resident_bytes(&self) -> usize {
-                self.data.len() * core::mem::size_of::<[f32; $k]>()
-            }
-
             #[inline(always)]
             fn off(&self, x: usize, y: usize, z: usize) -> usize {
                 self.padded.offset(x + self.halo, y + self.halo, z + self.halo)
@@ -85,50 +78,6 @@ macro_rules! fused_field {
             #[inline(always)]
             pub fn comp_i(&self, c: usize, x: isize, y: isize, z: isize) -> f32 {
                 self.at_i(x, y, z)[c]
-            }
-
-            /// Signed-coordinate write reaching into the halo (the fused
-            /// free-surface kernel mirrors ghost planes above `z = 0`).
-            #[inline(always)]
-            pub fn set_i(&mut self, x: isize, y: isize, z: isize, v: [f32; $k]) {
-                let h = self.halo as isize;
-                debug_assert!(x >= -h && y >= -h && z >= -h);
-                let o = self.padded.offset((x + h) as usize, (y + h) as usize, (z + h) as usize);
-                self.data[o] = v;
-            }
-
-            /// One fused component write with signed coordinates.
-            #[inline(always)]
-            pub fn set_comp_i(&mut self, c: usize, x: isize, y: isize, z: isize, v: f32) {
-                let h = self.halo as isize;
-                debug_assert!(x >= -h && y >= -h && z >= -h);
-                let o = self.padded.offset((x + h) as usize, (y + h) as usize, (z + h) as usize);
-                self.data[o][c] = v;
-            }
-
-            /// Contiguous z-run of fused vectors at interior `(x, y)`.
-            #[inline]
-            pub fn z_run(&self, x: usize, y: usize) -> &[[f32; $k]] {
-                let o = self.off(x, y, 0);
-                &self.data[o..o + self.interior.nz]
-            }
-
-            /// Mutable contiguous z-run at interior `(x, y)`.
-            #[inline]
-            pub fn z_run_mut(&mut self, x: usize, y: usize) -> &mut [[f32; $k]] {
-                let o = self.off(x, y, 0);
-                let nz = self.interior.nz;
-                &mut self.data[o..o + nz]
-            }
-
-            /// Raw padded storage.
-            pub fn raw(&self) -> &[[f32; $k]] {
-                &self.data
-            }
-
-            /// Raw padded storage, mutable.
-            pub fn raw_mut(&mut self) -> &mut [[f32; $k]] {
-                &mut self.data
             }
 
             /// Bytes moved per z-run DMA transfer of length `wz` — the block
@@ -232,20 +181,6 @@ mod tests {
         assert_eq!(f.get(0, 0, 0), [1.0, 2.0, 3.0]);
         assert_eq!(f.at_i(-1, 0, 0), [0.0; 3]);
         assert_eq!(f.comp_i(1, 0, 0, 0), 2.0);
-    }
-
-    #[test]
-    fn resident_bytes_counts_all_fused_components() {
-        let f = Vec3Field::new(Dims3::cube(3), 2);
-        assert_eq!(f.resident_bytes(), 7 * 7 * 7 * 3 * 4);
-        let s = Vec6Field::new(Dims3::cube(3), 2);
-        assert_eq!(s.resident_bytes(), 7 * 7 * 7 * 6 * 4);
-    }
-
-    #[test]
-    fn z_run_length_matches_interior() {
-        let f = Vec6Field::new(Dims3::new(2, 2, 9), 2);
-        assert_eq!(f.z_run(0, 0).len(), 9);
     }
 
     #[test]

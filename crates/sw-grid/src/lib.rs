@@ -17,7 +17,6 @@ pub mod array3;
 pub mod dims;
 pub mod fused;
 pub mod halo;
-#[cfg(feature = "simd")]
 pub mod simd;
 pub mod tile;
 

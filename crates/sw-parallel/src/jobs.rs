@@ -12,7 +12,7 @@
 //! threads, not Rayon tasks, so a job that blocks (on I/O, on a
 //! checkpoint fsync) never parks a pool worker. Inside a job the solver
 //! is free to fan its kernels out over the shared Rayon helper budget
-//! (`ExecMode::Parallel`); helper acquisition never blocks, the budget is
+//! (the fast execution path); helper acquisition never blocks, the budget is
 //! global and capped at `threads − 1`, so a campaign running `W` workers
 //! keeps at most `W + threads − 1` OS threads busy — campaign-level
 //! concurrency composes with per-simulation kernel fan-out without

@@ -7,7 +7,7 @@
 //! `recv` waiting for its neighbours, and parking a bounded pool worker on
 //! a cross-rank dependency could deadlock the pool. Inside a rank the
 //! solver is free to fan its kernels out over the shared Rayon worker
-//! budget (`ExecMode::Parallel` in `swquake-core` does exactly that).
+//! budget (the fast execution path in `swquake-core` does exactly that).
 //!
 //! That nesting is safe by construction, and the contract is:
 //!

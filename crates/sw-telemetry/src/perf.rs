@@ -170,11 +170,12 @@ pub struct PerfLedger {
     /// Nearest-rank p95 of per-step wall seconds.
     pub step_p95_s: f64,
     /// Resolved execution path the run routed kernels through
-    /// ("serial" / "parallel" / "simd"). `None` in pre-extension
-    /// ledgers (additive field; schema stays v1).
+    /// ("serial" / "fast"; older ledgers also say "parallel" / "simd").
+    /// `None` in pre-extension ledgers (additive field; schema stays v1).
     pub exec_mode: Option<String>,
-    /// Compiled feature set active for the run (e.g. "simd"), empty
-    /// string for a default build. `None` in pre-extension ledgers.
+    /// Compiled feature set older builds stamped (e.g. "simd"). Current
+    /// runs leave it `None`; it stays so older history lines still parse
+    /// and echo what they ran.
     pub features: Option<String>,
     /// Wavefield storage mode of the run ("full" / "compressed16");
     /// `None` in pre-extension ledgers (additive field; schema stays v1).
@@ -217,6 +218,24 @@ impl PerfLedger {
         Ok(Self::from_json(&std::fs::read_to_string(path)?))
     }
 
+    /// One line saying how the run executed: exec path, any feature
+    /// stamp an older ledger carries, storage mode. `None` for ledgers
+    /// that predate the stamps.
+    pub fn run_stamp(&self) -> Option<String> {
+        let features = self.features.as_deref().filter(|f| !f.is_empty());
+        if self.exec_mode.is_none() && features.is_none() {
+            return None;
+        }
+        let mut line = format!("exec: {}", self.exec_mode.as_deref().unwrap_or("unknown"));
+        if let Some(f) = features {
+            line.push_str(&format!("  features: {f}"));
+        }
+        if let Some(mode) = &self.resident_mode {
+            line.push_str(&format!("  resident: {mode}"));
+        }
+        Some(line)
+    }
+
     /// Human-readable throughput table; kernels with a known roofline
     /// fraction below `min_fraction` are flagged `LOW`.
     pub fn text_table(&self, min_fraction: f64) -> String {
@@ -230,17 +249,9 @@ impl PerfLedger {
             self.step_p50_s,
             self.step_p95_s,
         ));
-        if self.exec_mode.is_some() || self.features.is_some() {
-            let features = self.features.as_deref().unwrap_or("");
-            out.push_str(&format!(
-                "exec: {}  features: {}{}\n",
-                self.exec_mode.as_deref().unwrap_or("unknown"),
-                if features.is_empty() { "(default)" } else { features },
-                match self.resident_mode.as_deref() {
-                    Some(mode) => format!("  resident: {mode}"),
-                    None => String::new(),
-                },
-            ));
+        if let Some(stamp) = self.run_stamp() {
+            out.push_str(&stamp);
+            out.push('\n');
         }
         out.push_str(&format!(
             "{:<14} {:>10} {:>12} {:>10} {:>9} {:>9}  verdict\n",
@@ -495,8 +506,8 @@ mod tests {
             wall_s: 2.0,
             step_p50_s: 0.19,
             step_p95_s: 0.25,
-            exec_mode: Some("parallel".to_string()),
-            features: Some(String::new()),
+            exec_mode: Some("fast".to_string()),
+            features: None,
             resident_mode: None,
             kernels: vec![
                 PerfKernel::from_counts("dvelc", 1.0, 10, 10_000, 760_000.0, 400_000, 0.5),

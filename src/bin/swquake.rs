@@ -33,14 +33,11 @@
 //! report; `--trace` records a Chrome trace-event timeline (open it in
 //! Perfetto / `chrome://tracing`) and `--roofline` writes the
 //! predicted-vs-simulated per-kernel attribution report. `--exec
-//! serial|parallel|simd|auto` picks the kernel implementation (serial
-//! reference, the bit-identical Rayon CPE-pool analogue, or the
-//! vectorized cache-tiled kernels — `simd` needs a `--features simd`
-//! build and degrades to `parallel` otherwise) and `--threads <n>`
-//! pins the worker-pool width. `--fused` runs whole steps on the fused
-//! wavefield layout (elastic core only — attenuation, plasticity, and
-//! compression scenarios are rejected at config validation).
-//! `--health <out.jsonl>`
+//! serial|auto` picks the kernel implementation (the serial reference,
+//! or — `auto`, the default — the bit-identical vectorized, cache-tiled
+//! fast path on meshes of at least 32³ points; `parallel` and `simd`
+//! are accepted aliases of the fast path) and `--threads <n>` pins the
+//! worker-pool width. `--health <out.jsonl>`
 //! streams the in-situ simulation-health log (stability watchdog +
 //! compression error budget) and `--health-stride <n>` sets how often
 //! the wavefield is probed (default 10, or `SWQUAKE_HEALTH_STRIDE`).
@@ -127,19 +124,18 @@ flags:
   --metrics <out.json>         telemetry report (stable JSON schema)
   --trace <out.json>           Chrome trace-event timeline
   --roofline <out.json>        per-kernel predicted-vs-simulated report
-  --exec serial|parallel|simd|auto
-                               kernel implementation (default auto; simd
-                               needs a --features simd build)
-  --threads <n>                worker-pool width for pool-based modes
-  --fused                      run whole steps on the fused wavefield
-                               layout (elastic core only: rejects
-                               attenuation/nonlinear/compression scenarios)
+  --exec serial|auto           kernel implementation: the serial
+                               reference, or auto (default) for the
+                               vectorized fast path on meshes of at least
+                               32^3 points; parallel and simd are aliases
+                               of the fast path
+  --threads <n>                worker-pool width for the fast path
   --resident full|compressed16 wavefield storage between steps (default
                                full, or SWQUAKE_RESIDENT; compressed16
                                keeps wavefields 16-bit and streams tiles
                                through a capped f32 slab — rejects
-                               --fused, compression scenarios, snapshots
-                               and --ranks)
+                               compression scenarios, snapshots and
+                               --ranks)
   --memory-cap <bytes>         byte budget for the compressed16 decode
                                slab (suffixes k/m/g; default: an 8-column
                                tile)
@@ -156,7 +152,7 @@ flags:
   --ranks <MX>x<MY>            run on an MX x MY rank grid (multirank
                                halo exchange; observables are merged and
                                bit-identical to the single-rank run;
-                               incompatible with --fused and --perf)
+                               incompatible with --perf)
   --obs <dir>                  run timeline: stream heartbeat lines to
                                <dir>/run.jsonl and write the final
                                per-rank, per-phase <dir>/timeline.json
@@ -182,9 +178,10 @@ flags:
                                (default: the file's max_concurrent, or 1)
   --resume                     skip done scenarios, resume the interrupted one
   --fail-fast                  abort on the first failed/unstable scenario
-  --exec serial|parallel|simd|auto
-                               kernel implementation for every scenario
-  --threads <n>                worker-pool width for pool-based modes
+  --exec serial|auto           kernel implementation for every scenario
+                               (parallel and simd are aliases of the
+                               fast path)
+  --threads <n>                worker-pool width for the fast path
   --perf                       write each scenario's per-kernel ledger to
                                <dir>/<id>/perf.json (the summary.json
                                perf rollup is always populated)
@@ -217,7 +214,7 @@ usage: swquake perf-diff <old.json> <new.json> [--tolerance <frac>]
 Per-kernel perf-regression gate. Each side may be a perf ledger (from
 `run --perf`) or a BENCH_<name>.json report — auto-detected, so a
 ledger can be diffed against a committed bench baseline. Ledger sides
-echo their exec mode and compiled features above the table, so
+echo their exec path (and any feature stamp) above the table, so
 cross-mode comparisons are self-describing. Exit 0 on pass, 1 on
 regression beyond the tolerance (default 0.1; per-record `tolerance`
 overrides), 2 on load failures or unit mismatches.";
@@ -257,7 +254,6 @@ struct RunOutputs {
     roofline: Option<String>,
     exec: Option<ExecMode>,
     threads: Option<usize>,
-    fused: bool,
     resident: Option<ResidentMode>,
     memory_cap: Option<u64>,
     health: Option<String>,
@@ -301,7 +297,6 @@ fn parse_args(args: &[String]) -> Option<Command> {
             "--roofline" => outputs.roofline = Some(iter.next()?.clone()),
             "--exec" => outputs.exec = Some(iter.next()?.parse().ok()?),
             "--threads" => outputs.threads = Some(iter.next()?.parse().ok()?),
-            "--fused" => outputs.fused = true,
             "--resident" => outputs.resident = Some(iter.next()?.parse().ok()?),
             "--memory-cap" => outputs.memory_cap = Some(parse_bytes(iter.next()?)?),
             "--health" => outputs.health = Some(iter.next()?.clone()),
@@ -324,12 +319,10 @@ fn parse_args(args: &[String]) -> Option<Command> {
     if outputs.resume && outputs.checkpoint_dir.is_none() {
         return None;
     }
-    // The multirank runner exchanges scalar wavefield halos (no fused
-    // layout) and the per-kernel ledger needs a resident Simulation.
+    // The multirank runner exchanges f32 wavefield halos and the
+    // per-kernel ledger needs a resident Simulation.
     if outputs.ranks.is_some_and(|(mx, my)| mx * my > 1)
-        && (outputs.fused
-            || outputs.perf.is_some()
-            || outputs.resident == Some(ResidentMode::Compressed16))
+        && (outputs.perf.is_some() || outputs.resident == Some(ResidentMode::Compressed16))
     {
         return None;
     }
@@ -612,8 +605,8 @@ fn perf_diff(old_path: &str, new_path: &str, tolerance: f64) -> i32 {
     // A perf ledger has a top-level `kernels` array; a bench report has
     // `records`. Ledgers are lowered to per-kernel bench records so the
     // two formats diff against each other. The lowering drops the
-    // ledger's exec_mode/features stamps, so they are echoed per side
-    // here — a cross-mode diff must say what it is comparing.
+    // ledger's run stamp (exec path, storage mode), so it is echoed per
+    // side here — a cross-mode diff must say what it is comparing.
     let load = |path: &str, role: &str| -> Result<(BenchReport, Option<String>), String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("perf-diff: cannot read {role} {path}: {e}"))?;
@@ -622,17 +615,7 @@ fn perf_diff(old_path: &str, new_path: &str, tolerance: f64) -> i32 {
         if probe.as_object().is_some_and(|o| o.iter().any(|(k, _)| k == "kernels")) {
             let ledger = PerfLedger::from_json(&text)
                 .map_err(|e| format!("perf-diff: cannot parse {role} ledger {path}: {e}"))?;
-            let echo = (ledger.exec_mode.is_some() || ledger.features.is_some()).then(|| {
-                format!(
-                    "exec: {}  features: {}",
-                    ledger.exec_mode.as_deref().unwrap_or("?"),
-                    match ledger.features.as_deref() {
-                        Some("") | None => "(default)",
-                        Some(f) => f,
-                    }
-                )
-            });
-            Ok((ledger.to_bench_report("perf"), echo))
+            Ok((ledger.to_bench_report("perf"), ledger.run_stamp()))
         } else {
             BenchReport::from_json(&text)
                 .map(|r| (r, None))
@@ -730,9 +713,6 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
     if let Some(threads) = outputs.threads {
         cfg = cfg.with_threads(threads);
     }
-    if outputs.fused {
-        cfg = cfg.with_fused(true);
-    }
     if let Some(resident) = outputs.resident {
         cfg = cfg.with_resident(resident);
     }
@@ -793,7 +773,7 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
     }
     println!(
         "mesh {} at dx = {} m, {} steps, model {}, nonlinear {}, compression {}, exec {} \
-         (path {}, features {}){}{}",
+         (path {}){}",
         cfg.dims,
         cfg.dx,
         cfg.steps,
@@ -802,8 +782,6 @@ fn run(path: &str, outputs: &RunOutputs) -> Result<(), Error> {
         scenario.compression,
         cfg.exec,
         cfg.exec.resolve_path(cfg.dims.len()),
-        if swquake::core::simd_compiled() { "simd" } else { "(default)" },
-        if cfg.fused { ", fused layout" } else { "" },
         if cfg.resident == ResidentMode::Compressed16 { ", resident compressed16" } else { "" }
     );
     // `--ranks MxN` routes through the multi-rank driver: same physics

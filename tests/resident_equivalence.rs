@@ -276,21 +276,13 @@ fn checkpoints_cross_the_resident_mode_boundary() {
     assert_within_epsilon(&reference, &to_compressed, "full -> compressed restore");
 }
 
-/// The compatibility contract is enforced up front, mirroring the fused
-/// path: the fused layout, inter-step compression, surface snapshots,
-/// and multirank runs are rejected at validation, not mis-simulated.
+/// The compatibility contract is enforced up front: inter-step
+/// compression, surface snapshots, and multirank runs are rejected at
+/// validation, not mis-simulated.
 #[test]
 fn resident_config_rejects_unsupported_features() {
     let base = production_config().with_resident(ResidentMode::Compressed16);
     assert!(base.validate().is_ok());
-
-    let mut elastic = base.clone();
-    elastic.options.attenuation = false;
-    elastic.options.nonlinear = false;
-    assert!(matches!(
-        elastic.clone().with_fused(true).validate(),
-        Err(ConfigError::ResidentUnsupported { feature: "the fused layout" })
-    ));
 
     assert!(matches!(
         base.clone().with_compression(true).validate(),
